@@ -3,21 +3,18 @@
 
 Usage: check_exit_codes.py /path/to/wsrs-sim
 
-The CLI contract (docs/sweep_service.md):
+The CLI contract (README.md, "Exit codes"):
 
   0  success
-  1  configuration error (bad flag value, unknown benchmark/machine,
-     unsupported transport scheme)
-  2  I/O or corruption error (unreadable/damaged checkpoint or socket)
+  1  configuration error (bad flag value, unknown benchmark/machine)
+  2  I/O or corruption error (unreadable or damaged checkpoint)
   3  journal/sweep binding mismatch (a journal or checkpoint that
      belongs to a different sweep or machine configuration)
   4  sweep completed but some jobs failed
-  75 daemon admission-queue backpressure (EX_TEMPFAIL, --request only;
-     covered by serve_smoke_test.py)
 
 Every probe below must hit its exact code — a collapse of two classes
 into one (e.g. everything exiting 1) is a regression in scriptability.
-Exit status 0 on success. Used by the `svc` labelled ctest.
+Exit status 0 on success. Used by the `runner` labelled ctest.
 """
 
 import os
@@ -51,9 +48,6 @@ def main():
               [binary, "--bench=gzip", "--machine=NO-SUCH", *TINY], 1)
         probe("unknown benchmark is a config error",
               [binary, "--bench=nonesuch", "--machine=RR-256", *TINY], 1)
-        probe("unsupported transport scheme is a config error",
-              [binary, "--all", *TINY, "--coordinator=tcp://1.2.3.4:1"],
-              1)
 
         # Class 2: I/O / corruption errors.
         garbage = os.path.join(tmp, "garbage.ckpt")

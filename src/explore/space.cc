@@ -1,15 +1,16 @@
 #include "space.h"
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
 #include <sstream>
 
+#include "src/common/json_min.h"
 #include "src/common/log.h"
 #include "src/common/stats.h"
 #include "src/core/cluster_alloc.h"
 #include "src/isa/micro_op.h"
 #include "src/sim/presets.h"
-#include "src/svc/json_min.h"
 #include "src/workload/profiles.h"
 
 namespace wsrs::explore {
@@ -143,6 +144,26 @@ mapEnum(const CatalogEntry &entry, const std::string &value,
           value.c_str());
 }
 
+/** Most values one range axis may enumerate (bounds parse-time memory). */
+constexpr double kMaxRangeValues = 1 << 20;
+
+/**
+ * Validate one numeric axis value: applyNumeric stores it in an unsigned
+ * field (the cache-size axes after scaling KiB to bytes), so it must be
+ * a finite non-negative integer that fits.
+ */
+double
+checkedNumeric(const std::string &what, const CatalogEntry &entry, double v)
+{
+    const double max = (entry.field == kL1Kb || entry.field == kL2Kb)
+                           ? double(UINT_MAX / 1024u)
+                           : double(UINT_MAX);
+    if (!std::isfinite(v) || v < 0 || v != std::floor(v) || v > max)
+        fatal("%s: axis '%s' value %g is not an integer in [0, %.0f]",
+              what.c_str(), entry.name, v, max);
+    return v;
+}
+
 /** Apply one numeric axis value to the point. */
 void
 applyNumeric(ConfigPoint &pt, Field field, double v)
@@ -252,7 +273,7 @@ SpaceSpec::totalPoints() const
 SpaceSpec
 parseSpaceSpec(std::string_view text, const std::string &what)
 {
-    const svc::JsonValue doc = svc::parseJson(text, what);
+    const JsonValue doc = parseJson(text, what);
     const std::string schema = doc.getString("schema", "");
     if (schema != kSpaceSchema)
         fatal("%s: schema '%s' is not %s", what.c_str(), schema.c_str(),
@@ -262,7 +283,7 @@ parseSpaceSpec(std::string_view text, const std::string &what)
     spec.baseMachineLabel = "WSRS-RC-512";
     spec.baseMemLabel = "constant";
     if (doc.has("base")) {
-        const svc::JsonValue &base = doc.get("base");
+        const JsonValue &base = doc.get("base");
         spec.baseMachineLabel =
             base.getString("machine", spec.baseMachineLabel);
         spec.baseMemLabel = base.getString("mem", spec.baseMemLabel);
@@ -302,7 +323,8 @@ parseSpaceSpec(std::string_view text, const std::string &what)
                     axis.ordinals.push_back(
                         mapEnum(*entry, v.asString(), what));
                 } else {
-                    axis.numeric.push_back(v.asDouble());
+                    axis.numeric.push_back(
+                        checkedNumeric(what, *entry, v.asDouble()));
                 }
             }
         } else if (axisDoc.has("from")) {
@@ -315,11 +337,18 @@ parseSpaceSpec(std::string_view text, const std::string &what)
             const double step = axisDoc.has("step")
                                     ? axisDoc.get("step").asDouble()
                                     : 1.0;
+            if (!std::isfinite(from) || !std::isfinite(to) ||
+                !std::isfinite(step))
+                fatal("%s: axis '%s' has a non-finite range bound",
+                      what.c_str(), axis.param.c_str());
             if (step <= 0 || to < from)
                 fatal("%s: axis '%s' has an empty or descending range",
                       what.c_str(), axis.param.c_str());
+            if ((to - from) / step >= kMaxRangeValues)
+                fatal("%s: axis '%s' range has more than %.0f values",
+                      what.c_str(), axis.param.c_str(), kMaxRangeValues);
             for (double v = from; v <= to + 1e-9; v += step)
-                axis.numeric.push_back(v);
+                axis.numeric.push_back(checkedNumeric(what, *entry, v));
         } else {
             fatal("%s: axis '%s' needs 'values' or 'from'/'to'",
                   what.c_str(), axis.param.c_str());
@@ -331,6 +360,10 @@ parseSpaceSpec(std::string_view text, const std::string &what)
             if (other.field == axis.field)
                 fatal("%s: axis '%s' appears twice", what.c_str(),
                       axis.param.c_str());
+        // totalPoints() and the flat point index are uint64_t.
+        if (spec.totalPoints() > UINT64_MAX / axis.size())
+            fatal("%s: axis '%s' takes the space past 2^64 points",
+                  what.c_str(), axis.param.c_str());
         spec.axes.push_back(std::move(axis));
     }
     if (spec.axes.empty())

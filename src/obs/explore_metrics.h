@@ -3,11 +3,11 @@
  * Observability instruments of the design-space explorer (src/explore).
  *
  * The explorer is an analytic pipeline, not a simulation, so its telemetry
- * lives in the process-wide MetricsRegistry like the runner's and the
- * service's: how many configuration points were enumerated, how many were
- * feasible, the size of the non-dominated frontier, and how the
- * cycle-accurate confirmation sweep went. Exported through the usual
- * `wsrs-metrics-v1` / Prometheus surfaces (`wsrs-explore --metrics-out`).
+ * lives in the process-wide MetricsRegistry like the runner's: how many
+ * configuration points were enumerated, how many were feasible, the size
+ * of the non-dominated frontier, and how the cycle-accurate confirmation
+ * sweep went. Exported as a `wsrs-metrics-v1` document
+ * (`wsrs-explore --metrics-out`).
  */
 #pragma once
 

@@ -25,20 +25,18 @@ SpanLog::add(SpanEvent e)
 }
 
 void
-SpanLog::complete(std::string name, std::uint64_t job, std::uint32_t attempt,
-                  std::uint64_t worker, std::int64_t startUs,
+SpanLog::complete(std::string name, std::uint64_t job, std::int64_t startUs,
                   std::int64_t durUs, std::string detail)
 {
-    add(SpanEvent{std::move(name), 'X', job, attempt, worker, startUs,
-                  durUs, std::move(detail)});
+    add(SpanEvent{std::move(name), 'X', job, startUs, durUs,
+                  std::move(detail)});
 }
 
 void
-SpanLog::instant(std::string name, std::uint64_t job, std::uint32_t attempt,
-                 std::uint64_t worker, std::int64_t tsUs, std::string detail)
+SpanLog::instant(std::string name, std::uint64_t job, std::int64_t tsUs,
+                 std::string detail)
 {
-    add(SpanEvent{std::move(name), 'i', job, attempt, worker, tsUs, 0,
-                  std::move(detail)});
+    add(SpanEvent{std::move(name), 'i', job, tsUs, 0, std::move(detail)});
 }
 
 void
@@ -62,15 +60,6 @@ SpanLog::snapshot() const
     return events_;
 }
 
-std::vector<SpanEvent>
-SpanLog::drain()
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    std::vector<SpanEvent> out;
-    out.swap(events_);
-    return out;
-}
-
 namespace {
 
 struct Window
@@ -79,31 +68,21 @@ struct Window
     std::int64_t end = 0;
 };
 
-/** Clamp a span into @p parent; keeps start <= end. */
-void
-clampInto(std::int64_t &start, std::int64_t &end, const Window &parent)
-{
-    start = std::clamp(start, parent.start, parent.end);
-    end = std::clamp(end, start, parent.end);
-}
-
 void
 writeEvent(std::ostream &os, const SpanEvent &e, std::int64_t start,
-           std::int64_t dur, bool first)
+           std::int64_t dur)
 {
-    os << (first ? "" : ",\n  ") << "{\"name\": \"" << jsonEscape(e.name)
-       << "\", \"ph\": \"" << e.phase << "\", \"ts\": " << start;
+    os << ",\n  {\"name\": \"" << jsonEscape(e.name) << "\", \"ph\": \""
+       << e.phase << "\", \"ts\": " << start;
     if (e.phase == 'X')
         os << ", \"dur\": " << dur;
     else
         os << ", \"s\": \"t\"";
-    os << ", \"pid\": 0, \"tid\": " << e.job << ", \"args\": {\"worker\": "
-       << e.worker;
-    if (e.attempt)
-        os << ", \"attempt\": " << e.attempt;
+    os << ", \"pid\": 0, \"tid\": " << e.job;
     if (!e.detail.empty())
-        os << ", \"detail\": \"" << jsonEscape(e.detail) << "\"";
-    os << "}}";
+        os << ", \"args\": {\"detail\": \"" << jsonEscape(e.detail)
+           << "\"}";
+    os << "}";
 }
 
 } // namespace
@@ -125,27 +104,14 @@ SpanLog::writeChromeTrace(std::ostream &os, const std::string &label) const
     if (events.empty())
         base = 0;
 
-    // Parent windows for the nesting clamp: the "job" root span per job,
-    // and each "attempt" span per (job, attempt).
+    // Parent window for the nesting clamp: the "job" root span per job.
     std::map<std::uint64_t, Window> jobWindow;
-    std::map<std::pair<std::uint64_t, std::uint32_t>, Window> attemptWindow;
     for (const SpanEvent &e : events) {
-        if (e.phase != 'X')
+        if (e.phase != 'X' || e.name != "job")
             continue;
         const std::int64_t start = e.startUs - base;
-        const std::int64_t end = start + std::max<std::int64_t>(e.durUs, 0);
-        if (e.name == "job")
-            jobWindow[e.job] = Window{start, end};
-    }
-    for (const SpanEvent &e : events) {
-        if (e.phase != 'X' || e.name != "attempt")
-            continue;
-        std::int64_t start = e.startUs - base;
-        std::int64_t end = start + std::max<std::int64_t>(e.durUs, 0);
-        const auto root = jobWindow.find(e.job);
-        if (root != jobWindow.end())
-            clampInto(start, end, root->second);
-        attemptWindow[{e.job, e.attempt}] = Window{start, end};
+        jobWindow[e.job] =
+            Window{start, start + std::max<std::int64_t>(e.durUs, 0)};
     }
 
     os << "{\n\"schema\": \"" << kSpansJsonSchema
@@ -163,24 +129,12 @@ SpanLog::writeChromeTrace(std::ostream &os, const std::string &label) const
     for (const SpanEvent &e : events) {
         std::int64_t start = e.startUs - base;
         std::int64_t end = start + std::max<std::int64_t>(e.durUs, 0);
-        if (e.name == "job") {
-            // Root span; already well-formed by construction.
-        } else if (e.name == "attempt") {
-            const auto w = attemptWindow.find({e.job, e.attempt});
-            if (w != attemptWindow.end()) {
-                start = w->second.start;
-                end = w->second.end;
-            }
-        } else {
-            // Leaf: clamp into its attempt if one exists, else the root.
-            const auto aw = attemptWindow.find({e.job, e.attempt});
-            const auto jw = jobWindow.find(e.job);
-            if (aw != attemptWindow.end())
-                clampInto(start, end, aw->second);
-            else if (jw != jobWindow.end())
-                clampInto(start, end, jw->second);
+        const auto root = jobWindow.find(e.job);
+        if (e.name != "job" && root != jobWindow.end()) {
+            start = std::clamp(start, root->second.start, root->second.end);
+            end = std::clamp(end, start, root->second.end);
         }
-        writeEvent(os, e, start, e.phase == 'X' ? end - start : 0, false);
+        writeEvent(os, e, start, e.phase == 'X' ? end - start : 0);
     }
     os << "\n]}\n";
 }

@@ -1,17 +1,13 @@
 /**
  * @file
- * Distributed per-job span log for sweep telemetry.
+ * Per-job span log for sweep telemetry.
  *
  * One SpanLog collects the lifecycle of every job in a sweep — enqueued,
- * leased, warm-up hit/build, simulate, result framed, merged, re-leased —
- * as timestamped events on the *coordinator's* monotonic timeline (worker
- * timestamps are skew-normalized before they are added; see
- * src/svc/coordinator.cc). writeChromeTrace() renders the log as a
+ * warm-up hit/build, simulate, merged — as timestamped events on the
+ * process's monotonic timeline. writeChromeTrace() renders the log as a
  * `wsrs-spans-v1` Chrome trace-event JSON document that Perfetto and
- * chrome://tracing load directly: one row (tid) per job, lease attempts
- * as nested spans (retries show up as sibling attempts on the same row),
- * worker-side warm-up/simulate spans nested inside the attempt that ran
- * them.
+ * chrome://tracing load directly: one row (tid) per job, with the
+ * warm-up/simulate spans nested inside the job's root span.
  *
  * Appends are mutex-serialized — span events are per job, not per cycle,
  * so the lock is cold. The disabled path is a null SpanLog pointer,
@@ -37,12 +33,10 @@ std::int64_t monotonicMicros();
 /** One trace event. phase 'X' = complete span, 'i' = instant. */
 struct SpanEvent
 {
-    std::string name;          ///< "job", "attempt", "warmup", ...
+    std::string name;          ///< "job", "warmup", "simulate", ...
     char phase = 'X';
     std::uint64_t job = 0;     ///< Sweep job index (trace row / tid).
-    std::uint32_t attempt = 0; ///< Lease attempt, 1-based (0 = job root).
-    std::uint64_t worker = 0;  ///< Worker id (0 = coordinator / local).
-    std::int64_t startUs = 0;  ///< Coordinator-timeline microseconds.
+    std::int64_t startUs = 0;  ///< Monotonic microseconds.
     std::int64_t durUs = 0;    ///< 0 for instants.
     std::string detail;        ///< Optional annotation ("hit", "build").
 };
@@ -54,12 +48,10 @@ class SpanLog
     void add(SpanEvent e);
     /** Append a complete ('X') span. */
     void complete(std::string name, std::uint64_t job,
-                  std::uint32_t attempt, std::uint64_t worker,
                   std::int64_t startUs, std::int64_t durUs,
                   std::string detail = {});
     /** Append an instant ('i') event. */
-    void instant(std::string name, std::uint64_t job, std::uint32_t attempt,
-                 std::uint64_t worker, std::int64_t tsUs,
+    void instant(std::string name, std::uint64_t job, std::int64_t tsUs,
                  std::string detail = {});
 
     /** Label a job row (rendered as the Perfetto thread name). */
@@ -67,15 +59,12 @@ class SpanLog
 
     std::size_t size() const;
     std::vector<SpanEvent> snapshot() const;
-    /** Remove and return every event (worker side: batch for shipping). */
-    std::vector<SpanEvent> drain();
 
     /**
      * Write the wsrs-spans-v1 document. Timestamps are rebased so the
-     * earliest event is t=0, and child spans are clamped inside their
-     * parents (attempts inside the job root, leaf events inside their
-     * attempt) so clock skew that survived normalization can never
-     * produce an escaping child or a negative duration — the invariants
+     * earliest event is t=0, and every other span is clamped inside its
+     * job's root span, so timer granularity can never produce an
+     * escaping child or a negative duration — the invariants
      * scripts/check_stats_schema.py enforces.
      */
     void writeChromeTrace(std::ostream &os, const std::string &label) const;

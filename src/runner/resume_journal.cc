@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <sstream>
 
+#include "src/ckpt/io.h"
 #include "src/common/hash.h"
 #include "src/common/log.h"
 #include "src/sim/warmup.h"
@@ -53,6 +54,9 @@ sweepKeyHash(const std::vector<SweepJob> &jobs)
     return h;
 }
 
+namespace {
+
+/** Serialize one outcome into @p w (journal payload codec). */
 void
 encodeOutcome(ckpt::Writer &w, const SweepOutcome &out)
 {
@@ -93,6 +97,7 @@ encodeOutcome(ckpt::Writer &w, const SweepOutcome &out)
     w.u64(r.mem.dramQueueFullWaits);
 }
 
+/** Decode an outcome written by encodeOutcome. */
 SweepOutcome
 decodeOutcome(ckpt::Reader &r)
 {
@@ -136,6 +141,8 @@ decodeOutcome(ckpt::Reader &r)
         r.fail("trailing bytes after journal outcome");
     return out;
 }
+
+} // namespace
 
 ResumeJournal::ResumeJournal(std::string path, std::uint64_t sweep_key,
                              std::uint64_t num_jobs, bool resume)

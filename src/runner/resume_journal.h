@@ -32,7 +32,6 @@
 #include <string>
 #include <vector>
 
-#include "src/ckpt/io.h"
 #include "src/runner/sweep_runner.h"
 
 namespace wsrs::runner {
@@ -49,11 +48,6 @@ inline constexpr std::uint32_t kJournalVersion = 1;
  * core preset) chained in submission order.
  */
 std::uint64_t sweepKeyHash(const std::vector<SweepJob> &jobs);
-
-/** Serialize one outcome into @p w (journal payload codec). */
-void encodeOutcome(ckpt::Writer &w, const SweepOutcome &out);
-/** Decode an outcome written by encodeOutcome. */
-SweepOutcome decodeOutcome(ckpt::Reader &r);
 
 /**
  * Append-only journal of completed jobs, shared by the sweep workers.
@@ -86,8 +80,6 @@ class ResumeJournal
 
     /** Append one finished job's outcome and flush it to disk. */
     void record(std::uint64_t index, const SweepOutcome &out);
-
-    const std::string &path() const { return path_; }
 
   private:
     void writeHeader();

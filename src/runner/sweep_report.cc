@@ -10,8 +10,7 @@ namespace wsrs::runner {
 void
 writeSweepReport(std::ostream &os, const std::vector<SweepJob> &jobs,
                  const std::vector<SweepOutcome> &outcomes,
-                 const SweepRunner::Telemetry &telemetry,
-                 const SvcReport *svc)
+                 const SweepRunner::Telemetry &telemetry)
 {
     if (jobs.size() != outcomes.size())
         fatal("sweep report: %zu jobs but %zu outcomes", jobs.size(),
@@ -42,10 +41,6 @@ writeSweepReport(std::ostream &os, const std::vector<SweepJob> &jobs,
        << (telemetry.warmupReuse ? "true" : "false")
        << ", \"warmup_cache\": {\"hits\": " << telemetry.warmupHits
        << ", \"misses\": " << telemetry.warmupMisses << "}}";
-    if (svc) {
-        os << ", \"svc\": ";
-        obs::writeSvcJson(os, svc->counters, svc->workers);
-    }
     os << ", \"summary\": {\"total\": " << jobs.size()
        << ", \"failed\": " << failed << "}}";
 }

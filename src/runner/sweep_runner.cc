@@ -7,16 +7,177 @@
 #include <thread>
 
 #include "src/ckpt/warmup_cache.h"
-#include "src/common/log.h"
 #include "src/obs/metrics_registry.h"
 #include "src/obs/span_log.h"
-#include "src/runner/job_exec.h"
 #include "src/runner/resume_journal.h"
 #include "src/runner/trace_cache.h"
 #include "src/sim/presets.h"
 #include "src/sim/warmup.h"
 
 namespace wsrs::runner {
+
+namespace {
+
+/**
+ * Registry handles for the runner-layer instruments (job counts, warm-up
+ * cache behaviour, per-stage host latencies). Constructing one binds (or
+ * re-binds) the instruments in @p registry; runJob bumps them through a
+ * borrowed pointer, so the disabled path is a null check — exactly the
+ * TraceSink discipline, and gated the same way by the perf-smoke A/B.
+ */
+struct RunnerMetrics
+{
+    explicit RunnerMetrics(obs::MetricsRegistry &r)
+        : jobsExecuted(r.counter("wsrs_runner_jobs_total",
+                                 "Sweep jobs executed to completion")),
+          jobFailures(r.counter("wsrs_runner_job_failures_total",
+                                "Jobs whose outcome captured an error")),
+          warmupHits(r.counter("wsrs_runner_warmup_hits_total",
+                               "Warm-up snapshots restored from a cache")),
+          warmupBuilds(r.counter("wsrs_runner_warmup_builds_total",
+                                 "Warm-up snapshots built from scratch")),
+          jobMs(r.histogram("wsrs_runner_job_duration_ms",
+                            "Wall time of one sweep job",
+                            obs::MetricsRegistry::latencyBucketsMs())),
+          warmupMs(r.histogram("wsrs_runner_warmup_duration_ms",
+                               "Warm-up snapshot acquire (hit or build)",
+                               obs::MetricsRegistry::latencyBucketsMs())),
+          simulateMs(r.histogram("wsrs_runner_simulate_duration_ms",
+                                 "Measured-slice simulation wall time",
+                                 obs::MetricsRegistry::latencyBucketsMs())),
+          memRequests(r.counter("wsrs_mem_requests_total",
+                                "DRAM demand requests across measured "
+                                "slices")),
+          memRowHits(r.counter("wsrs_mem_row_hits_total",
+                               "DRAM open-row hits across measured slices")),
+          memRowConflicts(r.counter("wsrs_mem_row_conflicts_total",
+                                    "DRAM row conflicts across measured "
+                                    "slices")),
+          memQueueFullWaits(r.counter("wsrs_mem_queue_full_waits_total",
+                                      "DRAM requests delayed by a full "
+                                      "in-flight window"))
+    {
+    }
+
+    obs::MetricCounter &jobsExecuted;
+    obs::MetricCounter &jobFailures;
+    obs::MetricCounter &warmupHits;
+    obs::MetricCounter &warmupBuilds;
+    obs::MetricHistogram &jobMs;      ///< Whole-job wall time.
+    obs::MetricHistogram &warmupMs;   ///< Warm-up acquire (hit or build).
+    obs::MetricHistogram &simulateMs; ///< Measured-slice simulation.
+
+    // ---- memory backend (non-zero only under --mem-model dram) ----
+    obs::MetricCounter &memRequests;
+    obs::MetricCounter &memRowHits;
+    obs::MetricCounter &memRowConflicts;
+    obs::MetricCounter &memQueueFullWaits;
+};
+
+/** Caches and telemetry one sweep's jobs run against, shared by all of
+ *  its worker threads. Null pointers disable the feature. */
+struct JobContext
+{
+    TraceCache *traces = nullptr;      ///< Null regenerates per run.
+    ckpt::WarmupCache *warmups = nullptr;
+    bool reuseWarmup = false;
+    RunnerMetrics *metrics = nullptr;
+    obs::SpanLog *spans = nullptr;
+};
+
+/**
+ * Run job @p index to completion. Exceptions (FatalError and friends) are
+ * captured into the outcome's error field instead of tearing the sweep
+ * down.
+ */
+SweepOutcome
+runJob(const SweepJob &job, std::uint64_t index, const JobContext &ctx)
+{
+    SweepOutcome out;
+    const std::int64_t jobStartUs =
+        (ctx.metrics || ctx.spans) ? obs::monotonicMicros() : 0;
+    try {
+        sim::SimConfig cfg = job.config;
+        std::shared_ptr<const std::string> blob;
+        if (ctx.reuseWarmup && cfg.warmupUops > 0) {
+            // One functional warm-up per key serves every machine config
+            // of the benchmark; the blob stays alive for the duration of
+            // this run.
+            bool built = false;
+            const std::int64_t warmupStartUs =
+                jobStartUs ? obs::monotonicMicros() : 0;
+            blob = ctx.warmups->getOrBuild(
+                sim::warmupKeyHash(job.profile, cfg), [&] {
+                    built = true;
+                    return sim::buildWarmupSnapshot(job.profile, cfg);
+                });
+            cfg.warmupBlob = blob.get();
+            if (jobStartUs) {
+                const std::int64_t warmupEndUs = obs::monotonicMicros();
+                if (ctx.metrics) {
+                    (built ? ctx.metrics->warmupBuilds
+                           : ctx.metrics->warmupHits)
+                        .add();
+                    ctx.metrics->warmupMs.observe(static_cast<std::uint64_t>(
+                        (warmupEndUs - warmupStartUs) / 1000));
+                }
+                if (ctx.spans)
+                    ctx.spans->complete("warmup", index, warmupStartUs,
+                                        warmupEndUs - warmupStartUs,
+                                        built ? "build" : "hit");
+            }
+        }
+        const std::int64_t simStartUs =
+            jobStartUs ? obs::monotonicMicros() : 0;
+        if (ctx.traces) {
+            // Hold the shared trace only for the duration of the run: it
+            // stays recorded while any sibling job needs it and is
+            // released when the profile's jobs drain.
+            const std::shared_ptr<CachedTrace> trace =
+                ctx.traces->acquire(job.profile, cfg.seed);
+            const auto cursor = trace->openCursor();
+            out.results = sim::runSimulation(job.profile, cfg, *cursor);
+        } else {
+            out.results = sim::runSimulation(job.profile, cfg);
+        }
+        out.ok = true;
+        if (jobStartUs) {
+            const std::int64_t simEndUs = obs::monotonicMicros();
+            if (ctx.metrics)
+                ctx.metrics->simulateMs.observe(static_cast<std::uint64_t>(
+                    (simEndUs - simStartUs) / 1000));
+            if (ctx.spans)
+                ctx.spans->complete("simulate", index, simStartUs,
+                                    simEndUs - simStartUs);
+        }
+    } catch (const std::exception &e) {
+        out.ok = false;
+        out.error = e.what();
+    }
+    if (jobStartUs) {
+        if (ctx.metrics) {
+            ctx.metrics->jobsExecuted.add();
+            if (out.ok) {
+                ctx.metrics->memRequests.add(out.results.mem.dramRequests);
+                ctx.metrics->memRowHits.add(out.results.mem.dramRowHits);
+                ctx.metrics->memRowConflicts.add(
+                    out.results.mem.dramRowConflicts);
+                ctx.metrics->memQueueFullWaits.add(
+                    out.results.mem.dramQueueFullWaits);
+            } else {
+                ctx.metrics->jobFailures.add();
+            }
+            ctx.metrics->jobMs.observe(static_cast<std::uint64_t>(
+                (obs::monotonicMicros() - jobStartUs) / 1000));
+        }
+        if (ctx.spans && !out.ok)
+            ctx.spans->instant("job-failed", index, obs::monotonicMicros(),
+                               out.error);
+    }
+    return out;
+}
+
+} // namespace
 
 SweepRunner::SweepRunner() : SweepRunner(Options{}) {}
 
@@ -139,9 +300,7 @@ SweepRunner::run(const std::vector<SweepJob> &jobs)
     std::vector<std::int64_t> jobSpanStart(jobs.size(), 0);
     if (spans) {
         // Root span per job: enqueued at sweep submission, closed at
-        // completion — the local-run analogue of the distributed
-        // enqueue -> merge timeline (there is no lease layer, so the
-        // warmup/simulate children clamp straight into the root).
+        // completion; the warmup/simulate children clamp into it.
         const std::int64_t now = obs::monotonicMicros();
         for (std::size_t i = 0; i < jobs.size(); ++i) {
             if (recovered[i])
@@ -160,7 +319,7 @@ SweepRunner::run(const std::vector<SweepJob> &jobs)
             if (recovered[i])
                 continue;
             SweepOutcome &out = outcomes[i];
-            out = executeJob(jobs[i], ctx, JobTelemetry{i, 0, 0});
+            out = runJob(jobs[i], i, ctx);
             if (journal)
                 journal->record(i, out);
             if (spans) {
@@ -168,10 +327,10 @@ SweepRunner::run(const std::vector<SweepJob> &jobs)
                 if (out.ok)
                     spans->nameJob(i, out.results.benchmark + "@" +
                                           out.results.machine);
-                spans->complete("job", i, 0, 0, jobSpanStart[i],
+                spans->complete("job", i, jobSpanStart[i],
                                 now - jobSpanStart[i],
                                 out.ok ? "" : "failed");
-                spans->instant("merged", i, 0, 0, now);
+                spans->instant("merged", i, now);
             }
             if (options_.onEvent) {
                 // The count is advanced under the same lock that serializes

@@ -96,7 +96,7 @@ class SweepRunner
         /** Registry the runner's job/warm-up instruments bind to. */
         obs::MetricsRegistry *metrics = nullptr;
         /** Span log: one root span per job (enqueue -> completion) with
-         *  warmup/simulate children, same shape as a distributed run. */
+         *  warmup/simulate children. */
         obs::SpanLog *spans = nullptr;
     };
 

@@ -67,6 +67,56 @@ TEST(SpaceSpecParse, RejectsMalformedSpecs)
                "workloads": ["gzip"],
                "axes": [{"param": "core.fetch_width",
                          "from": 8, "to": 4, "step": 1}]})");
+
+    // Numeric values must be finite non-negative integers that fit the
+    // unsigned field they are stored in; each rejection names the axis.
+    const auto rejectAxis = [](const std::string &axis) {
+        const std::string text =
+            R"({"schema": "wsrs-space-v1", "workloads": ["gzip"],
+                "axes": [)" + axis + "]}";
+        try {
+            parseSpaceSpec(text, "test");
+            ADD_FAILURE() << "accepted: " << axis;
+        } catch (const FatalError &e) {
+            const std::string param =
+                axis.substr(axis.rfind("\"param\": \"") + 10);
+            EXPECT_NE(std::string(e.what()).find(
+                          param.substr(0, param.find('"'))),
+                      std::string::npos)
+                << e.what();
+        }
+    };
+    rejectAxis(R"({"param": "core.cluster_window", "values": [-5, 1]})");
+    rejectAxis(R"({"param": "core.cluster_window", "values": [1e30]})");
+    rejectAxis(R"({"param": "core.cluster_window", "values": [1e999]})");
+    rejectAxis(R"({"param": "core.cluster_window", "values": [56.5]})");
+    rejectAxis(R"({"param": "core.num_phys_regs", "values": [4294967296]})");
+    rejectAxis(R"({"param": "mem.l1_kb", "values": [4194304]})");
+    rejectAxis(R"({"param": "mem.l2_kb", "from": 4194300,
+                   "to": 4194310, "step": 1})");
+    rejectAxis(R"({"param": "core.lsq_size", "from": 0, "to": 1e999})");
+    rejectAxis(R"({"param": "core.lsq_size", "from": -1e999, "to": 4})");
+    rejectAxis(R"({"param": "core.lsq_size", "from": 0, "to": 8,
+                   "step": 1e-999})");
+    rejectAxis(R"({"param": "core.lsq_size", "from": 0, "to": 4e9})");
+    rejectAxis(R"({"param": "core.lsq_size", "from": 1, "to": 2,
+                   "step": 0.5})");
+    // Seven 1024-value axes multiply past 2^64: the seventh is named.
+    std::string wide;
+    for (const char *p :
+         {"core.fetch_width", "core.commit_width", "core.lsq_size",
+          "core.fetch_queue", "core.agen_width", "core.cluster_window"})
+        wide += std::string(R"({"param": ")") + p +
+                R"(", "from": 0, "to": 1023}, )";
+    rejectAxis(wide + R"({"param": "core.recycle_delay", "from": 0,
+                          "to": 1023})");
+    // The limits themselves are accepted.
+    const SpaceSpec edge = parseSpaceSpec(
+        R"({"schema": "wsrs-space-v1", "workloads": ["gzip"],
+            "axes": [{"param": "core.num_phys_regs", "values": [4294967295]},
+                     {"param": "mem.l1_kb", "values": [0, 4194303]}]})",
+        "test");
+    EXPECT_EQ(edge.totalPoints(), 2u);
 }
 
 TEST(SpaceCodec, RowMajorDecode)

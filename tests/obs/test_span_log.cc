@@ -6,31 +6,35 @@
 #include <thread>
 #include <vector>
 
+#include "tests/support/json_lint.h"
+
 namespace wsrs::obs {
 namespace {
 
-TEST(SpanLog, AppendAndDrain)
+TEST(SpanLog, AppendAndSnapshot)
 {
     SpanLog log;
-    log.complete("job", 0, 0, 0, 100, 50);
-    log.instant("merged", 0, 0, 0, 150);
+    log.complete("job", 0, 100, 50);
+    log.instant("merged", 0, 150);
     EXPECT_EQ(log.size(), 2u);
-    const auto events = log.drain();
+    const auto events = log.snapshot();
     ASSERT_EQ(events.size(), 2u);
     EXPECT_EQ(events[0].name, "job");
     EXPECT_EQ(events[0].phase, 'X');
+    EXPECT_EQ(events[0].durUs, 50);
     EXPECT_EQ(events[1].phase, 'i');
-    EXPECT_EQ(log.size(), 0u);
+    EXPECT_EQ(events[1].startUs, 150);
+    EXPECT_EQ(log.size(), 2u);
 }
 
 TEST(SpanLog, ChromeTraceShape)
 {
     SpanLog log;
     log.nameJob(3, "gzip@WSRS-RC-512");
-    log.complete("job", 3, 0, 0, 1000, 400);
-    log.complete("attempt", 3, 1, 2, 1050, 300);
-    log.complete("simulate", 3, 1, 2, 1100, 200);
-    log.instant("merged", 3, 0, 0, 1400);
+    log.complete("job", 3, 1000, 400);
+    log.complete("warmup", 3, 1050, 30, "hit");
+    log.complete("simulate", 3, 1100, 200);
+    log.instant("merged", 3, 1400);
     std::ostringstream os;
     log.writeChromeTrace(os, "sweep deadbeef");
     const std::string doc = os.str();
@@ -40,7 +44,9 @@ TEST(SpanLog, ChromeTraceShape)
     // Timestamps are rebased to the earliest event.
     EXPECT_NE(doc.find("\"name\": \"job\", \"ph\": \"X\", \"ts\": 0"),
               std::string::npos);
-    EXPECT_NE(doc.find("\"attempt\": 1"), std::string::npos);
+    EXPECT_NE(doc.find("\"args\": {\"detail\": \"hit\"}"),
+              std::string::npos);
+    EXPECT_EQ(test::jsonLint(doc), "") << doc;
 }
 
 TEST(SpanLog, ClampsChildrenIntoParents)
@@ -48,20 +54,20 @@ TEST(SpanLog, ClampsChildrenIntoParents)
     SpanLog log;
     // Earliest raw timestamp is 900, so after rebasing the root "job"
     // span covers [100, 200].
-    log.complete("job", 0, 0, 0, 1000, 100);
-    // Skewed attempt escaping the root on both sides -> [100, 200].
-    log.complete("attempt", 0, 1, 1, 950, 300);
-    // Leaf escaping its attempt -> clamped into it as well.
-    log.complete("simulate", 0, 1, 1, 900, 500);
+    log.complete("job", 0, 1000, 100);
+    // A child escaping the root on both sides -> [100, 200].
+    log.complete("simulate", 0, 900, 500);
+    // An instant after the root's end lands on its end.
+    log.instant("merged", 0, 1300);
     std::ostringstream os;
     log.writeChromeTrace(os, "clamp");
     const std::string doc = os.str();
-    EXPECT_NE(doc.find("\"name\": \"attempt\", \"ph\": \"X\", "
+    EXPECT_NE(doc.find("\"name\": \"simulate\", \"ph\": \"X\", "
                        "\"ts\": 100, \"dur\": 100"),
               std::string::npos)
         << doc;
-    EXPECT_NE(doc.find("\"name\": \"simulate\", \"ph\": \"X\", "
-                       "\"ts\": 100, \"dur\": 100"),
+    EXPECT_NE(doc.find("\"name\": \"merged\", \"ph\": \"i\", "
+                       "\"ts\": 200"),
               std::string::npos)
         << doc;
 }
@@ -75,8 +81,8 @@ TEST(SpanLog, ConcurrentAppends)
     for (int t = 0; t < kThreads; ++t) {
         threads.emplace_back([&, t] {
             for (int i = 0; i < kPerThread; ++i)
-                log.complete("simulate", static_cast<std::uint64_t>(t), 1,
-                             static_cast<std::uint64_t>(t), i, 1);
+                log.complete("simulate", static_cast<std::uint64_t>(t), i,
+                             1);
         });
     }
     for (auto &th : threads)

@@ -1,252 +1,37 @@
 /**
  * @file
- * Minimal strict JSON syntax checker for tests. Validates that a string
- * is exactly one well-formed RFC 8259 JSON document — so `nan`/`inf`
- * spellings, trailing commas, unescaped control characters in strings,
- * bad escapes and trailing garbage all fail — without building a value
- * tree. This mirrors what Python's `json.load` (the parser behind
- * scripts/check_stats_schema.py) accepts, so a dump that lints clean
- * here round-trips through the real toolchain.
+ * Strict JSON syntax check for tests: is a string exactly one well-formed
+ * RFC 8259 document? `nan`/`inf` spellings, trailing commas, unescaped
+ * control characters in strings, bad escapes and trailing garbage all
+ * fail. The check is the repository's JSON reader (src/common/json_min.h),
+ * whose contract mirrors Python's `json.load` (the parser behind
+ * scripts/check_stats_schema.py), so a dump that lints clean here
+ * round-trips through the real toolchain.
  */
 #pragma once
 
-#include <cstddef>
 #include <string>
 #include <string_view>
 
+#include "src/common/json_min.h"
+#include "src/common/log.h"
+
 namespace wsrs::test {
-
-namespace detail {
-
-class JsonLinter
-{
-  public:
-    explicit JsonLinter(std::string_view text) : text_(text) {}
-
-    /** Empty string on success, "offset N: message" on the first error. */
-    std::string
-    lint()
-    {
-        skipWs();
-        if (!value())
-            return err_;
-        skipWs();
-        if (pos_ != text_.size())
-            fail("trailing content after JSON value");
-        return err_;
-    }
-
-  private:
-    static constexpr int kMaxDepth = 64;
-
-    bool
-    fail(const std::string &msg)
-    {
-        if (err_.empty())
-            err_ = "offset " + std::to_string(pos_) + ": " + msg;
-        return false;
-    }
-
-    bool atEnd() const { return pos_ >= text_.size(); }
-    char peek() const { return text_[pos_]; }
-
-    void
-    skipWs()
-    {
-        while (!atEnd() && (peek() == ' ' || peek() == '\t' ||
-                            peek() == '\n' || peek() == '\r'))
-            ++pos_;
-    }
-
-    bool
-    value()
-    {
-        if (++depth_ > kMaxDepth)
-            return fail("nesting too deep");
-        bool ok;
-        if (atEnd()) {
-            ok = fail("unexpected end of input");
-        } else {
-            switch (peek()) {
-              case '{': ok = object(); break;
-              case '[': ok = array(); break;
-              case '"': ok = string(); break;
-              case 't': ok = literal("true"); break;
-              case 'f': ok = literal("false"); break;
-              case 'n': ok = literal("null"); break;
-              default:  ok = number(); break;
-            }
-        }
-        --depth_;
-        return ok;
-    }
-
-    bool
-    object()
-    {
-        ++pos_; // '{'
-        skipWs();
-        if (!atEnd() && peek() == '}') {
-            ++pos_;
-            return true;
-        }
-        for (;;) {
-            skipWs();
-            if (atEnd() || peek() != '"')
-                return fail("expected object key string");
-            if (!string())
-                return false;
-            skipWs();
-            if (atEnd() || peek() != ':')
-                return fail("expected ':' after object key");
-            ++pos_;
-            skipWs();
-            if (!value())
-                return false;
-            skipWs();
-            if (atEnd())
-                return fail("unterminated object");
-            if (peek() == ',') {
-                ++pos_;
-                continue;
-            }
-            if (peek() == '}') {
-                ++pos_;
-                return true;
-            }
-            return fail("expected ',' or '}' in object");
-        }
-    }
-
-    bool
-    array()
-    {
-        ++pos_; // '['
-        skipWs();
-        if (!atEnd() && peek() == ']') {
-            ++pos_;
-            return true;
-        }
-        for (;;) {
-            skipWs();
-            if (!value())
-                return false;
-            skipWs();
-            if (atEnd())
-                return fail("unterminated array");
-            if (peek() == ',') {
-                ++pos_;
-                continue;
-            }
-            if (peek() == ']') {
-                ++pos_;
-                return true;
-            }
-            return fail("expected ',' or ']' in array");
-        }
-    }
-
-    static bool
-    isHex(char c)
-    {
-        return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f') ||
-               (c >= 'A' && c <= 'F');
-    }
-
-    bool
-    string()
-    {
-        ++pos_; // opening '"'
-        while (!atEnd()) {
-            const unsigned char c =
-                static_cast<unsigned char>(text_[pos_]);
-            if (c == '"') {
-                ++pos_;
-                return true;
-            }
-            if (c < 0x20)
-                return fail("unescaped control character in string");
-            if (c == '\\') {
-                ++pos_;
-                if (atEnd())
-                    return fail("dangling escape");
-                const char e = text_[pos_];
-                if (e == 'u') {
-                    for (int i = 0; i < 4; ++i) {
-                        ++pos_;
-                        if (atEnd() || !isHex(text_[pos_]))
-                            return fail("bad \\u escape");
-                    }
-                } else if (e != '"' && e != '\\' && e != '/' &&
-                           e != 'b' && e != 'f' && e != 'n' && e != 'r' &&
-                           e != 't') {
-                    return fail("invalid escape character");
-                }
-            }
-            ++pos_;
-        }
-        return fail("unterminated string");
-    }
-
-    bool
-    literal(std::string_view word)
-    {
-        if (text_.substr(pos_, word.size()) != word)
-            return fail("invalid literal");
-        pos_ += word.size();
-        return true;
-    }
-
-    bool digit() const { return !atEnd() && peek() >= '0' && peek() <= '9'; }
-
-    bool
-    number()
-    {
-        if (peek() == '-')
-            ++pos_;
-        if (!digit())
-            return fail("invalid number");
-        if (peek() == '0') {
-            ++pos_;
-        } else {
-            while (digit())
-                ++pos_;
-        }
-        if (!atEnd() && peek() == '.') {
-            ++pos_;
-            if (!digit())
-                return fail("digits required after decimal point");
-            while (digit())
-                ++pos_;
-        }
-        if (!atEnd() && (peek() == 'e' || peek() == 'E')) {
-            ++pos_;
-            if (!atEnd() && (peek() == '+' || peek() == '-'))
-                ++pos_;
-            if (!digit())
-                return fail("digits required in exponent");
-            while (digit())
-                ++pos_;
-        }
-        return true;
-    }
-
-    std::string_view text_;
-    std::size_t pos_ = 0;
-    int depth_ = 0;
-    std::string err_;
-};
-
-} // namespace detail
 
 /**
  * Lint @p text as one strict JSON document.
- * @return empty string when valid, otherwise "offset N: message".
+ * @return empty string when valid, otherwise the parse error (with its
+ *         byte offset).
  */
 inline std::string
 jsonLint(std::string_view text)
 {
-    return detail::JsonLinter(text).lint();
+    try {
+        parseJson(text, "json lint");
+    } catch (const FatalError &e) {
+        return e.what();
+    }
+    return "";
 }
 
 } // namespace wsrs::test

@@ -7,10 +7,6 @@
  *   wsrs_sim --all --csv > results.csv
  *   wsrs_sim --bench=swim --machine=RR-256 --set-window=128 --json
  */
-#include <sys/wait.h>
-#include <unistd.h>
-
-#include <csignal>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -26,9 +22,6 @@
 #include "src/runner/sweep_runner.h"
 #include "src/sim/presets.h"
 #include "src/sim/simulator.h"
-#include "src/svc/coordinator.h"
-#include "src/svc/service.h"
-#include "src/svc/worker.h"
 #include "src/workload/profiles.h"
 
 using namespace wsrs;
@@ -156,10 +149,6 @@ printJson(const sim::SimResults &r)
     std::printf("}\n");
 }
 
-/** Daemon instance reachable from the signal handler (static storage so
- *  the captureless handler lambda may use it). */
-svc::SweepService *gService = nullptr;
-
 } // namespace
 
 int
@@ -221,48 +210,6 @@ main(int argc, char **argv)
     args.addOption("resume",
                    "with --all and --resume-journal: skip runs already "
                    "recorded in the journal", true);
-    args.addOption("coordinator",
-                   "with --all: distribute the sweep to worker processes "
-                   "from this endpoint (e.g. unix:/tmp/wsrs.sock)");
-    args.addOption("workers",
-                   "with --coordinator: self-spawn N worker processes");
-    args.addOption("worker",
-                   "run as a sweep worker: claim shard leases from the "
-                   "coordinator at --connect", true);
-    args.addOption("connect",
-                   "endpoint of the coordinator (--worker) or daemon "
-                   "(--request/--status)");
-    args.addOption("shard-size",
-                   "with --coordinator: jobs per shard lease (default 4)");
-    args.addOption("lease-timeout-ms",
-                   "with --coordinator: per-job lease deadline "
-                   "(default 120000)");
-    args.addOption("lease-retries",
-                   "with --coordinator: re-lease budget per shard before "
-                   "its jobs fail (default 3)");
-    args.addOption("lease-backoff-ms",
-                   "with --coordinator: base re-lease backoff, doubling "
-                   "per attempt (default 100)");
-    args.addOption("warmup-cache-dir",
-                   "shared on-disk warm-up snapshot cache directory "
-                   "(cross-process, flock-serialized)");
-    args.addOption("serve",
-                   "run as a sweep daemon on this endpoint, accepting "
-                   "JSON sweep requests until SIGTERM");
-    args.addOption("queue-depth",
-                   "with --serve: max queued requests before rejects "
-                   "(default 4)");
-    args.addOption("serve-threads",
-                   "with --serve: concurrent sweep executors (default 1)");
-    args.addOption("frame-log",
-                   "with --serve: write a wsrs-svc-frames-v1 protocol "
-                   "log to FILE on shutdown");
-    args.addOption("request",
-                   "submit the JSON sweep request in FILE ('-' = stdin) "
-                   "to the daemon at --connect; prints the report");
-    args.addOption("status",
-                   "print the daemon's wsrs-svc-status-v1 document "
-                   "(needs --connect)", true);
     args.addOption("metrics-out",
                    "write the process metrics snapshot (wsrs-metrics-v1 "
                    "JSON) to FILE after the run ('-' = stdout)");
@@ -332,97 +279,6 @@ main(int argc, char **argv)
             obs::MetricsRegistry::process().writeJson(os);
         };
 
-        // The full Figure-4/5 matrix, built identically by --all, by the
-        // coordinator and by every worker process: identical construction
-        // means identical sweepKeyHash, which is what lets lease frames
-        // carry bare job indices.
-        const auto matrixJobs = [&] {
-            std::vector<runner::SweepJob> jobs;
-            for (const auto &p : workload::allProfiles())
-                for (const std::string &m : sim::figure4Presets())
-                    jobs.push_back({p, configure(m)});
-            return jobs;
-        };
-
-        if (args.has("worker")) {
-            svc::WorkerOptions wopt;
-            wopt.endpoint = args.get("connect", "");
-            if (wopt.endpoint.empty())
-                fatal("--worker needs --connect=ENDPOINT");
-            wopt.shareTraces = !args.has("no-trace-cache");
-            wopt.reuseWarmup = args.has("reuse-warmup");
-            wopt.warmupCacheDir = args.get("warmup-cache-dir", "");
-            svc::runWorker(matrixJobs(), wopt);
-            return 0;
-        }
-
-        if (args.has("serve")) {
-            svc::ServiceOptions sopt;
-            sopt.endpoint = args.get("serve");
-            sopt.queueDepth =
-                std::size_t(args.getUint("queue-depth", 4));
-            sopt.executors = unsigned(args.getUint("serve-threads", 1));
-            sopt.sweepThreads = unsigned(args.getUint("jobs", 1));
-            sopt.frameLogPath = args.get("frame-log", "");
-            svc::SweepService service(sopt);
-            gService = &service;
-            std::signal(SIGTERM, [](int) {
-                if (gService)
-                    gService->requestStop();
-            });
-            std::signal(SIGINT, [](int) {
-                if (gService)
-                    gService->requestStop();
-            });
-            service.start();
-            std::fprintf(stderr, "wsrs-sim: serving on %s\n",
-                         service.endpoint().c_str());
-            service.wait();
-            gService = nullptr;
-            return 0;
-        }
-
-        if (args.has("request")) {
-            const std::string endpoint = args.get("connect", "");
-            if (endpoint.empty())
-                fatal("--request needs --connect=ENDPOINT");
-            const std::string spec = args.get("request");
-            std::string json;
-            if (spec == "-") {
-                std::ostringstream buf;
-                buf << std::cin.rdbuf();
-                json = buf.str();
-            } else {
-                std::ifstream is(spec);
-                if (!is)
-                    fatalIo("cannot read sweep request file '%s'",
-                            spec.c_str());
-                std::ostringstream buf;
-                buf << is.rdbuf();
-                json = buf.str();
-            }
-            const svc::SubmitResult res =
-                svc::submitSweep(endpoint, json);
-            if (!res.accepted) {
-                std::fprintf(stderr,
-                             "wsrs-sim: request rejected: %s (retry "
-                             "after %llu ms)\n",
-                             res.reason.c_str(),
-                             (unsigned long long)res.retryAfterMs);
-                return 75; // EX_TEMPFAIL: back off and retry.
-            }
-            std::printf("%s\n", res.report.c_str());
-            return 0;
-        }
-
-        if (args.has("status")) {
-            const std::string endpoint = args.get("connect", "");
-            if (endpoint.empty())
-                fatal("--status needs --connect=ENDPOINT");
-            std::printf("%s\n", svc::queryStatus(endpoint).c_str());
-            return 0;
-        }
-
         if (args.has("all")) {
             if (args.has("trace-pipe") || args.has("trace-pipe-bin"))
                 fatal("--trace-pipe traces a single run; combine it with "
@@ -437,7 +293,10 @@ main(int argc, char **argv)
             // {benchmark, machine}, per-profile trace recorded once and
             // replayed for all machines, results streamed in submission
             // order as the completed prefix grows.
-            const std::vector<runner::SweepJob> jobs = matrixJobs();
+            std::vector<runner::SweepJob> jobs;
+            for (const auto &p : workload::allProfiles())
+                for (const std::string &m : sim::figure4Presets())
+                    jobs.push_back({p, configure(m)});
 
             if (args.has("csv"))
                 printCsvHeader();
@@ -466,117 +325,41 @@ main(int argc, char **argv)
                 std::fflush(stdout);
             };
 
-            std::vector<runner::SweepOutcome> outcomes;
-            runner::SweepRunner::Telemetry telemetry;
-            runner::SvcReport svcReport;
-            const runner::SvcReport *svcPtr = nullptr;
-
             // Telemetry is opt-in per flag: the span log records the
-            // per-job timeline (local or distributed), the process
-            // registry collects runner/service instruments. Neither
-            // touches the sweep report.
+            // per-job timeline, the process registry collects runner
+            // instruments. Neither touches the sweep report.
             obs::SpanLog spanLog;
             obs::SpanLog *const spans =
                 args.has("spans-out") ? &spanLog : nullptr;
-            obs::MetricsRegistry *const metrics =
-                args.has("metrics-out") ? &obs::MetricsRegistry::process()
-                                        : nullptr;
 
-            if (args.has("coordinator")) {
-                // Distributed execution: shard the pending jobs out to
-                // worker processes; optionally self-spawn them.
-                svc::Coordinator::Options copt;
-                copt.endpoint = args.get("coordinator");
-                copt.shardSize = args.getUint("shard-size", 4);
-                copt.perJobTimeoutMs =
-                    args.getUint("lease-timeout-ms", 120000);
-                copt.maxLeaseRetries =
-                    unsigned(args.getUint("lease-retries", 3));
-                copt.leaseBackoffMs =
-                    args.getUint("lease-backoff-ms", 100);
-                copt.journalPath = args.get("resume-journal", "");
-                copt.resume = args.has("resume");
-                copt.reuseWarmup = args.has("reuse-warmup");
-                copt.onEvent = printEvent;
-                copt.spans = spans;
-                copt.metrics = metrics;
-                svc::Coordinator coord(copt, jobs);
-                coord.bind();
-
-                // Self-spawned workers re-exec this binary with the
-                // sweep-defining flags forwarded verbatim, so they build
-                // the identical job list (and sweep key).
-                std::vector<pid_t> kids;
-                const unsigned nWorkers =
-                    unsigned(args.getUint("workers", 0));
-                for (unsigned w = 0; w < nWorkers; ++w) {
-                    std::vector<std::string> cmd;
-                    cmd.push_back(argv[0]);
-                    cmd.push_back("--worker");
-                    cmd.push_back("--connect=" + coord.endpoint());
-                    for (const char *o :
-                         {"uops", "warmup", "seed", "predictor",
-                          "mem-model", "ff-scope", "set-regs",
-                          "set-window", "set-lsq", "set-issue", "timeline",
-                          "interval-stats", "warmup-cache-dir"})
-                        if (args.has(o))
-                            cmd.push_back(std::string("--") + o + "=" +
-                                          args.get(o));
-                    for (const char *f :
-                         {"verify", "no-trace-cache", "reuse-warmup"})
-                        if (args.has(f))
-                            cmd.push_back(std::string("--") + f);
-                    std::vector<char *> cargv;
-                    for (std::string &s : cmd)
-                        cargv.push_back(s.data());
-                    cargv.push_back(nullptr);
-                    const pid_t pid = ::fork();
-                    if (pid == 0) {
-                        ::execv(cargv[0], cargv.data());
-                        std::fprintf(stderr,
-                                     "wsrs-sim: cannot exec worker %s\n",
-                                     cargv[0]);
-                        ::_exit(127);
-                    }
-                    if (pid < 0)
-                        fatalIo("cannot fork worker process %u", w);
-                    kids.push_back(pid);
-                }
-
-                outcomes = coord.run();
-                telemetry = coord.telemetry();
-                svcReport = coord.svcReport();
-                svcPtr = &svcReport;
-                for (const pid_t pid : kids)
-                    ::waitpid(pid, nullptr, 0);
-            } else {
-                runner::SweepRunner::Options opt;
-                opt.threads = unsigned(args.getUint("jobs", 0));
-                opt.shareTraces = !args.has("no-trace-cache");
-                opt.reuseWarmup = args.has("reuse-warmup");
-                opt.journalPath = args.get("resume-journal", "");
-                opt.resume = args.has("resume");
-                opt.onEvent = printEvent;
-                opt.spans = spans;
-                opt.metrics = metrics;
-                runner::SweepRunner sweep(opt);
-                outcomes = sweep.run(jobs);
-                telemetry = sweep.telemetry();
-            }
+            runner::SweepRunner::Options opt;
+            opt.threads = unsigned(args.getUint("jobs", 0));
+            opt.shareTraces = !args.has("no-trace-cache");
+            opt.reuseWarmup = args.has("reuse-warmup");
+            opt.journalPath = args.get("resume-journal", "");
+            opt.resume = args.has("resume");
+            opt.onEvent = printEvent;
+            opt.spans = spans;
+            opt.metrics = args.has("metrics-out")
+                              ? &obs::MetricsRegistry::process()
+                              : nullptr;
+            runner::SweepRunner sweep(opt);
+            const std::vector<runner::SweepOutcome> outcomes =
+                sweep.run(jobs);
 
             if (args.has("stats-json")) {
                 const std::string path = args.get("stats-json");
                 if (path == "-") {
                     std::ostringstream os;
                     runner::writeSweepReport(os, jobs, outcomes,
-                                             telemetry, svcPtr);
+                                             sweep.telemetry());
                     std::printf("%s\n", os.str().c_str());
                 } else {
                     std::ofstream os(path);
                     if (!os)
                         fatalIo("cannot open stats file '%s'", path.c_str());
                     runner::writeSweepReport(os, jobs, outcomes,
-                                             telemetry, svcPtr);
+                                             sweep.telemetry());
                     os << "\n";
                 }
             }
@@ -594,7 +377,7 @@ main(int argc, char **argv)
                     spanLog.writeChromeTrace(os, label.str());
                 }
             }
-            if (metrics)
+            if (opt.metrics)
                 writeMetricsFile(args.get("metrics-out"));
             for (const auto &o : outcomes)
                 if (!o.ok)
